@@ -27,9 +27,11 @@ round-trips exactly these blocks through :meth:`SketchDatabase.from_soa`
 integrity handshake (the norms block) instead of per-consumer re-packing.
 
 The batch bound kernels in :mod:`repro.bounds.batch` consume this layout;
-:meth:`SketchDatabase.sketch` recovers an individual
-:class:`~repro.compression.base.SpectralSketch` for spot checks and for
-the VP-tree's per-node computations.
+the vantage-point trees bound whole subtrees through zero-copy
+:meth:`SketchDatabase.view` row ranges of one depth-first-ordered
+database (:mod:`repro.index.blocks`), and :meth:`SketchDatabase.sketch`
+recovers an individual :class:`~repro.compression.base.SpectralSketch`
+for spot checks.
 """
 
 from __future__ import annotations
@@ -401,12 +403,11 @@ class SketchDatabase:
         return self.take(rows)
 
     def take(self, rows) -> "SketchDatabase":
-        """A lightweight row-subset view (arrays sliced, metadata shared).
+        """A row-subset copy (arrays gathered, metadata shared).
 
-        Used by the VP-tree to evaluate a whole leaf's bounds with one
-        vectorised kernel call instead of per-object Python calls, and by
-        the shard partitioner to split one compression pass into
-        shard-local databases.
+        Used by the shard partitioner to split one compression pass into
+        shard-local databases, and by the vantage-point trees to lay their
+        sketches out in depth-first member order.
         """
         rows = np.asarray(rows, dtype=np.intp)
         subset = SketchDatabase.from_soa(
@@ -432,6 +433,29 @@ class SketchDatabase:
             # Row norms are row-local, so slicing the cache is bitwise
             # equal to recomputing over the sliced blocks.
             subset._norms_cache = np.ascontiguousarray(cached[rows])
+        return subset
+
+    def view(self, start: int, stop: int) -> "SketchDatabase":
+        """Rows ``start:stop`` as a zero-copy view, norms included.
+
+        Row slices of C-contiguous blocks stay contiguous, so the view
+        satisfies the SoA contract without copying; the bound kernels are
+        row-local, so bounds over a view equal the whole-database bounds
+        at those rows bitwise.  The norms are computed once on the parent
+        and sliced.
+        """
+        subset = object.__new__(SketchDatabase)
+        subset.n = self.n
+        subset.basis = self.basis
+        subset.method = self.method
+        subset.names = (
+            self.names[start:stop] if self.names is not None else None
+        )
+        blocks = self.soa_blocks()
+        for field in self.SOA_FIELDS:
+            attr = "_widths" if field == "widths" else field
+            setattr(subset, attr, blocks[field][start:stop])
+        subset._norms_cache = blocks["norms"][start:stop]
         return subset
 
     # ------------------------------------------------------------------

@@ -237,6 +237,25 @@ class SigmaTracker:
         if len(self._heap) > self._k:
             heapq.heappop(self._heap)
 
+    def offer_many(self, uppers: np.ndarray) -> None:
+        """Consider a whole array of upper bounds at once.
+
+        The tracker's state is the multiset of the k smallest finite
+        bounds offered, so folding an array in with one partition leaves
+        exactly the state that offering each value in turn would.
+        """
+        fresh = uppers[np.isfinite(uppers)]
+        if len(self._heap) == self._k:
+            # A value >= sigma would be pushed and popped straight back.
+            fresh = fresh[fresh < -self._heap[0]]
+        if fresh.size == 0:
+            return
+        kept = np.concatenate((fresh, -np.array(self._heap)))
+        if kept.size > self._k:
+            kept = np.partition(kept, self._k - 1)[: self._k]
+        self._heap = (-kept).tolist()
+        heapq.heapify(self._heap)
+
     def sigma(self) -> float:
         """The k-th smallest upper bound, or ``inf`` before k are seen."""
         if len(self._heap) < self._k:

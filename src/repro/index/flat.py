@@ -59,7 +59,7 @@ from repro.engine.core import (
 from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
 from repro.spectral.dft import Spectrum
-from repro.storage.pagestore import MemorySequenceStore
+from repro.storage.pagestore import adopt_store
 
 __all__ = ["FlatSketchIndex"]
 
@@ -93,11 +93,7 @@ class FlatSketchIndex:
         self._compressor = compressor or BestMinErrorCompressor(14)
         self.bound_method = bound_method or self._compressor.method
         self._kernel = get_batch_kernel(self.bound_method)
-        self._store = store if store is not None else MemorySequenceStore(
-            matrix.shape[1]
-        )
-        if len(self._store) == 0:
-            self._store.append_matrix(matrix)
+        self._store = adopt_store(store, matrix)
         if sketch_db is not None:
             # A prebuilt (possibly row-subset view) sketch database — the
             # shard builder compresses the full population once and hands

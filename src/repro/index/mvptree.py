@@ -11,9 +11,10 @@ vantage point, yielding four children per node.
 The payoff: one extra bound computation per node (the second vantage
 point) buys two independent pruning tests per quadrant — each quadrant
 can be discarded by *either* vantage point's annulus condition.  The same
-compressed sketches, batch bound kernels and two-phase
-(traverse + SUB-filter + verify) search of the VP-tree are reused
-verbatim, which is precisely the paper's point.
+compressed sketches, block-batched bound kernels
+(:mod:`repro.index.blocks`) and two-phase (traverse + SUB-filter +
+verify) search of the VP-tree are reused verbatim, which is precisely
+the paper's point.
 
 The ablation benchmark compares its search work against the binary
 VP-tree at identical storage.
@@ -26,21 +27,20 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bounds.batch import BatchBounds, get_batch_kernel
+from repro.bounds.batch import get_batch_kernel
 from repro.compression.best_k import BestMinErrorCompressor
 from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     RANGE_SLACK,
     CandidateSet,
-    SigmaTracker,
     execute_knn,
     execute_range,
 )
 from repro.exceptions import SeriesMismatchError
+from repro.index.blocks import BlockLayout, SubtreeWalk
 from repro.index.distance import distances_to_query
 from repro.index.results import Neighbor, SearchStats
-from repro.spectral.dft import Spectrum
-from repro.storage.pagestore import MemorySequenceStore
+from repro.storage.pagestore import adopt_store
 
 __all__ = ["MVPTreeIndex"]
 
@@ -48,6 +48,8 @@ __all__ = ["MVPTreeIndex"]
 @dataclass
 class _Leaf:
     rows: np.ndarray
+    pos: int = -1  # first layout row (repro.index.blocks)
+    block: int | None = None  # block index when this node roots one
 
 
 @dataclass
@@ -66,6 +68,18 @@ class _Node:
     second_id: int
     first_median: float
     quadrants: list[_Quadrant]
+    pos: int = -1  # layout row of the first vantage point; +1 the second
+    block: int | None = None
+
+
+def _members(node):
+    """A node's own sequence ids and its children, for the block layout."""
+    if isinstance(node, _Leaf):
+        return node.rows, ()
+    return (
+        (node.first_id, node.second_id),
+        [quadrant.child for quadrant in node.quadrants],
+    )
 
 
 class MVPTreeIndex:
@@ -106,19 +120,15 @@ class MVPTreeIndex:
         self._leaf_size = leaf_size
         self._rng = np.random.default_rng(seed)
 
-        self._store = store if store is not None else MemorySequenceStore(
-            self._matrix.shape[1]
-        )
-        if len(self._store) == 0:
-            self._store.append_matrix(self._matrix)
+        self._store = adopt_store(store, self._matrix)
 
-        # Batched compression — bit-identical to compressing per row.
-        self._sketch_db = SketchDatabase.from_matrix(
-            self._matrix, self._compressor
-        )
+        # Batched compression — bit-identical to compressing per row —
+        # laid out in depth-first member order.
+        sketch_db = SketchDatabase.from_matrix(self._matrix, self._compressor)
         self._count = int(self._matrix.shape[0])
         self._n = int(self._matrix.shape[1])
         self._root = self._build(np.arange(self._count), self._matrix)
+        self._layout = BlockLayout(sketch_db).placed(self._root, _members)
         self._matrix = None
 
     def __len__(self) -> int:
@@ -221,52 +231,9 @@ class MVPTreeIndex:
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
-        batch = BatchBounds(Spectrum.from_series(query))
-        tracker = SigmaTracker(k)
-        candidates: list[tuple[float, int]] = []
-
-        def note(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb, ub in zip(rows, lower, upper):
-                candidates.append((float(lb), int(seq_id)))
-                tracker.offer(float(ub))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _Leaf):
-                note(node.rows)
-                return
-            lowers, uppers = note(
-                np.array([node.first_id, node.second_id])
-            )
-            lb1, ub1 = float(lowers[0]), float(uppers[0])
-            lb2, ub2 = float(lowers[1]), float(uppers[1])
-            for quadrant in node.quadrants:
-                sigma = tracker.sigma()  # earlier quadrants tighten it
-                by_first = self._side_min_distance(
-                    lb1, ub1, node.first_median, quadrant.first_side_low
-                )
-                by_second = self._side_min_distance(
-                    lb2, ub2, quadrant.second_median, quadrant.second_side_low
-                )
-                if max(by_first, by_second) > sigma:
-                    stats.subtrees_pruned += 1
-                    continue
-                traverse(quadrant.child)
-
-        traverse(self._root)
-        sigma = tracker.sigma()
-        survivors = sorted(
-            (lb * lb, seq_id) for lb, seq_id in candidates if lb <= sigma
-        )
-        return CandidateSet(
-            entries=survivors,
-            generated=len(candidates),
-            sigma_sq=sigma * sigma,
-            top_ubs=tracker.values(),
-        )
+        walk = SubtreeWalk(self._layout, self._kernel, query, stats, k)
+        self._visit(self._root, walk, stats, walk.sigma)
+        return walk.knn_candidates()
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
@@ -274,44 +241,33 @@ class MVPTreeIndex:
         """Fixed-radius traversal: a quadrant is skipped when *either*
         vantage point's annulus condition proves every member farther
         than ``radius``."""
-        batch = BatchBounds(Spectrum.from_series(query))
         bound = radius + RANGE_SLACK
-        to_verify: list[tuple[float, int]] = []
+        walk = SubtreeWalk(self._layout, self._kernel, query, stats)
+        self._visit(self._root, walk, stats, lambda: bound)
+        return walk.range_candidates(bound)
 
-        def consider(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb in zip(rows, lower):
-                lb = float(lb)
-                if lb > bound:
-                    continue
-                to_verify.append((lb * lb, int(seq_id)))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _Leaf):
-                consider(node.rows)
-                return
-            lowers, uppers = consider(
-                np.array([node.first_id, node.second_id])
+    def _visit(self, node, walk: SubtreeWalk, stats: SearchStats, limit):
+        """Shared k-NN / range traversal; ``limit()`` is the pruning
+        radius — ``sigma_UB`` (tightened by earlier quadrants) for k-NN,
+        the fixed range otherwise."""
+        stats.nodes_visited += 1
+        walk.enter(node)
+        if isinstance(node, _Leaf):
+            walk.leaf(node.pos, node.rows.size)
+            return
+        lb1, ub1 = walk.vantage(node.pos)
+        lb2, ub2 = walk.vantage(node.pos + 1)
+        for quadrant in node.quadrants:
+            by_first = self._side_min_distance(
+                lb1, ub1, node.first_median, quadrant.first_side_low
             )
-            lb1, ub1 = float(lowers[0]), float(uppers[0])
-            lb2, ub2 = float(lowers[1]), float(uppers[1])
-            for quadrant in node.quadrants:
-                by_first = self._side_min_distance(
-                    lb1, ub1, node.first_median, quadrant.first_side_low
-                )
-                by_second = self._side_min_distance(
-                    lb2, ub2, quadrant.second_median, quadrant.second_side_low
-                )
-                if max(by_first, by_second) > bound:
-                    stats.subtrees_pruned += 1
-                    continue
-                traverse(quadrant.child)
-
-        traverse(self._root)
-        return CandidateSet(entries=sorted(to_verify), generated=None)
+            by_second = self._side_min_distance(
+                lb2, ub2, quadrant.second_median, quadrant.second_side_low
+            )
+            if max(by_first, by_second) > limit():
+                stats.subtrees_pruned += 1
+                continue
+            self._visit(quadrant.child, walk, stats, limit)
 
     def search(
         self, query, k: int = 1, policy=None

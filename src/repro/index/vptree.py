@@ -14,12 +14,18 @@ Construction follows the paper exactly:
 Search is the two-phase algorithm of fig. 11, generalised from 1-NN to
 k-NN:
 
-1. **Traversal.**  Depth-first, computing LB/UB between the full query and
+1. **Traversal.**  Depth-first, reading LB/UB between the full query and
    every compressed vantage point / leaf object met.  ``sigma_UB`` — the
    k-th smallest upper bound seen so far — drives the pruning rules: the
    right subtree is skipped when ``UB(Q, VP) < mu - sigma_UB`` and the
    left when ``LB(Q, VP) > mu + sigma_UB``.  A *guided* heuristic visits
    first the child whose annulus overlap with ``[LB, UB]`` is larger.
+   The bounds themselves come from one kernel call per *block* — a
+   subtree of at most :data:`~repro.index.blocks.BLOCK_ROWS` members laid
+   out contiguously in depth-first order — made when the traversal first
+   enters the block, plus one call for the vantage points above block
+   level (:mod:`repro.index.blocks`).  Which nodes are visited and what
+   they contribute is exactly the per-node algorithm's.
 2. **Verification.**  Candidates with ``LB > SUB`` (smallest k-th upper
    bound) are discarded; the rest are fetched uncompressed from the
    sequence store in increasing-LB order and compared exactly with early
@@ -41,21 +47,21 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bounds.batch import BatchBounds, get_batch_kernel
+from repro.bounds.batch import get_batch_kernel
 from repro.compression.best_k import BestMinErrorCompressor
 from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     RANGE_SLACK as _RANGE_SLACK,
     CandidateSet,
-    SigmaTracker,
     execute_knn,
     execute_range,
 )
 from repro.exceptions import SeriesMismatchError
+from repro.index.blocks import BlockLayout, SubtreeWalk
 from repro.index.distance import distances_to_query
 from repro.index.results import Neighbor, SearchStats
 from repro.spectral.dft import Spectrum
-from repro.storage.pagestore import MemorySequenceStore
+from repro.storage.pagestore import MemorySequenceStore, adopt_store
 from repro.timeseries.preprocessing import as_float_array
 
 __all__ = ["VPTreeIndex"]
@@ -64,6 +70,8 @@ __all__ = ["VPTreeIndex"]
 @dataclass
 class _LeafNode:
     rows: np.ndarray  # database row ids held by this leaf
+    pos: int = -1  # first layout row (repro.index.blocks)
+    block: int | None = None  # block index when this node roots one
 
 
 @dataclass
@@ -72,6 +80,15 @@ class _InternalNode:
     median: float
     left: "_InternalNode | _LeafNode"
     right: "_InternalNode | _LeafNode"
+    pos: int = -1
+    block: int | None = None
+
+
+def _members(node):
+    """A node's own sequence ids and its children, for the block layout."""
+    if isinstance(node, _LeafNode):
+        return node.rows, ()
+    return (node.vantage_id,), (node.left, node.right)
 
 
 class VPTreeIndex:
@@ -150,21 +167,17 @@ class VPTreeIndex:
         self._guided = guided
         self._rng = np.random.default_rng(seed)
 
-        self._store = store if store is not None else MemorySequenceStore(
-            self._matrix.shape[1]
-        )
-        if len(self._store) == 0:
-            self._store.append_matrix(self._matrix)
+        self._store = adopt_store(store, self._matrix)
 
         # Batched compression (bit-identical to compressing per row);
-        # the packed database is the only sketch state the index keeps.
-        self._sketch_db = SketchDatabase.from_matrix(
-            self._matrix, self._compressor
-        )
+        # the packed database, laid out in depth-first member order, is
+        # the only sketch state the index keeps.
+        sketch_db = SketchDatabase.from_matrix(self._matrix, self._compressor)
         self._count = int(self._matrix.shape[0])
         self._n = int(self._matrix.shape[1])
         self._deleted: set[int] = set()
         self._root = self._build(np.arange(self._count), self._matrix)
+        self._layout = BlockLayout(sketch_db).placed(self._root, _members)
         # Construction is the only phase that holds all raw rows; drop them
         # so the index's memory footprint is the compressed features only.
         self._matrix = None
@@ -252,8 +265,9 @@ class VPTreeIndex:
                 f"length {self._n}"
             )
         seq_id = self._store.append(values)
-        self._sketch_db = self._sketch_db.appended(
-            self._compressor.compress(Spectrum.from_series(values))
+        # The layout is re-placed lazily, at the next search.
+        self._layout = self._layout.appended(
+            self._compressor.compress(Spectrum.from_series(values)), seq_id
         )
         if self._names is not None:
             self._names = (*self._names, name or f"inserted-{seq_id}")
@@ -294,6 +308,7 @@ class VPTreeIndex:
                 f"sequence id {seq_id} is not a live index member"
             )
         self._deleted.add(seq_id)
+        self._layout.drop(seq_id)
 
     # ------------------------------------------------------------------
     # Candidate generation (the engine owns verification)
@@ -308,6 +323,12 @@ class VPTreeIndex:
     def fetch(self, seq_id: int) -> np.ndarray:
         return self._store.read(seq_id)
 
+    def _walk(self, query, stats: SearchStats, k=None) -> SubtreeWalk:
+        self._layout = self._layout.placed(
+            self._root, _members, self._deleted
+        )
+        return SubtreeWalk(self._layout, self._kernel, query, stats, k)
+
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
@@ -317,66 +338,38 @@ class VPTreeIndex:
         subtree pruning rules; the engine applies the final SUB filter and
         verifies the survivors.
         """
-        batch = BatchBounds(Spectrum.from_series(query))
-        tracker = SigmaTracker(k)
-        candidates: list[tuple[float, int]] = []  # (lb, seq_id)
+        walk = self._walk(query, stats, k)
+        self._knn_visit(self._root, walk, stats)
+        return walk.knn_candidates()
 
-        def note(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Bound a group of rows with one vectorised kernel call.
-
-            Tombstoned rows still produce bounds (a deleted vantage point
-            keeps routing) but never become candidates.
-            """
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb, ub in zip(rows, lower, upper):
-                if int(seq_id) in self._deleted:
-                    continue
-                candidates.append((float(lb), int(seq_id)))
-                tracker.offer(float(ub))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _LeafNode):
-                note(node.rows)
-                return
-            lower_arr, upper_arr = note(np.array([node.vantage_id]))
-            lower, upper = float(lower_arr[0]), float(upper_arr[0])
-
-            sigma = tracker.sigma()
-            visit_left = lower <= node.median + sigma
-            visit_right = upper >= node.median - sigma
-            if not visit_left and not visit_right:
-                # The annulus excludes both only through rounding; fall
-                # back to the side the bounds point at.
-                visit_left = True
-            order = []
-            if visit_left:
-                order.append(node.left)
-            if visit_right:
-                order.append(node.right)
-            stats.subtrees_pruned += 2 - len(order)
-            if len(order) == 2 and self._guided:
-                # Guided traversal: larger annulus overlap first.
-                left_overlap = min(upper, node.median) - lower
-                right_overlap = upper - max(lower, node.median)
-                if right_overlap > left_overlap:
-                    order.reverse()
-            for child in order:
-                traverse(child)
-
-        traverse(self._root)
-        sigma = tracker.sigma()
-        survivors = sorted(
-            (lb * lb, seq_id) for lb, seq_id in candidates if lb <= sigma
-        )
-        return CandidateSet(
-            entries=survivors,
-            generated=len(candidates),
-            sigma_sq=sigma * sigma,
-            top_ubs=tracker.values(),
-        )
+    def _knn_visit(self, node, walk: SubtreeWalk, stats: SearchStats) -> None:
+        stats.nodes_visited += 1
+        walk.enter(node)
+        if isinstance(node, _LeafNode):
+            walk.leaf(node.pos, node.rows.size)
+            return
+        lower, upper = walk.vantage(node.pos)
+        sigma = walk.sigma()
+        visit_left = lower <= node.median + sigma
+        visit_right = upper >= node.median - sigma
+        if not visit_left and not visit_right:
+            # The annulus excludes both only through rounding; fall
+            # back to the side the bounds point at.
+            visit_left = True
+        order = []
+        if visit_left:
+            order.append(node.left)
+        if visit_right:
+            order.append(node.right)
+        stats.subtrees_pruned += 2 - len(order)
+        if len(order) == 2 and self._guided:
+            # Guided traversal: larger annulus overlap first.
+            left_overlap = min(upper, node.median) - lower
+            right_overlap = upper - max(lower, node.median)
+            if right_overlap > left_overlap:
+                order.reverse()
+        for child in order:
+            self._knn_visit(child, walk, stats)
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
@@ -385,45 +378,33 @@ class VPTreeIndex:
 
         A subtree is skipped when every member is provably farther than
         ``radius``; a candidate whose lower bound exceeds ``radius`` is
-        rejected without touching its uncompressed form.
+        rejected without touching its uncompressed form (with a small
+        slack: the computed lb can exceed the true distance by
+        floating-point error); survivors are verified exactly.
         """
-        batch = BatchBounds(Spectrum.from_series(query))
-        to_verify: list[tuple[float, int]] = []
+        walk = self._walk(query, stats)
+        self._range_visit(self._root, walk, stats, radius + _RANGE_SLACK)
+        return walk.range_candidates(radius + _RANGE_SLACK)
 
-        def consider(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb in zip(rows, lower):
-                seq_id = int(seq_id)
-                # lb > radius rejects without touching the full sequence
-                # (with a small slack: the computed lb can exceed the true
-                # distance by floating-point error); survivors are
-                # verified exactly.
-                if seq_id in self._deleted or lb > radius + _RANGE_SLACK:
-                    continue
-                to_verify.append((float(lb) ** 2, seq_id))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _LeafNode):
-                consider(node.rows)
-                return
-            lower_arr, upper_arr = consider(np.array([node.vantage_id]))
-            lower, upper = float(lower_arr[0]), float(upper_arr[0])
-            # For any R in the left subtree, D(Q,R) >= LB(Q,VP) - median;
-            # for the right, D(Q,R) >= median - UB(Q,VP).
-            if lower - node.median <= radius + _RANGE_SLACK:
-                traverse(node.left)
-            else:
-                stats.subtrees_pruned += 1
-            if node.median - upper <= radius + _RANGE_SLACK:
-                traverse(node.right)
-            else:
-                stats.subtrees_pruned += 1
-
-        traverse(self._root)
-        return CandidateSet(entries=sorted(to_verify), generated=None)
+    def _range_visit(
+        self, node, walk: SubtreeWalk, stats: SearchStats, bound: float
+    ) -> None:
+        stats.nodes_visited += 1
+        walk.enter(node)
+        if isinstance(node, _LeafNode):
+            walk.leaf(node.pos, node.rows.size)
+            return
+        lower, upper = walk.vantage(node.pos)
+        # For any R in the left subtree, D(Q,R) >= LB(Q,VP) - median;
+        # for the right, D(Q,R) >= median - UB(Q,VP).
+        if lower - node.median <= bound:
+            self._range_visit(node.left, walk, stats, bound)
+        else:
+            stats.subtrees_pruned += 1
+        if node.median - upper <= bound:
+            self._range_visit(node.right, walk, stats, bound)
+        else:
+            stats.subtrees_pruned += 1
 
     # ------------------------------------------------------------------
     # Search
@@ -469,6 +450,7 @@ class VPTreeIndex:
             return position
 
         root_ref = flatten(self._root)
+        sketch_db = self._layout.id_ordered()
         leaf_lengths = np.array([rows.size for rows in leaf_rows], dtype=np.intp)
         payload = {
             "internals": np.array(
@@ -489,12 +471,12 @@ class VPTreeIndex:
                 [str(self._count), str(self._n), self.bound_method],
                 dtype=str,
             ),
-            # Sketch database columns: the canonical SoA blocks (same
-            # layout as SketchDatabase.save, incl. precomputed norms).
-            **self._sketch_db.soa_blocks(),
+            # Sketch database columns: the canonical SoA blocks in
+            # sequence-id order (same layout as SketchDatabase.save,
+            # incl. precomputed norms).
+            **sketch_db.soa_blocks(),
             "sketch_meta": np.array(
-                [str(self._sketch_db.n), self._sketch_db.basis,
-                 self._sketch_db.method],
+                [str(sketch_db.n), sketch_db.basis, sketch_db.method],
                 dtype=str,
             ),
         }
@@ -540,7 +522,6 @@ class VPTreeIndex:
             )
             if "norms" in payload.files:
                 db._norms_cache = np.ascontiguousarray(payload["norms"])
-            index._sketch_db = db
 
             leaf_values = payload["leaf_values"].astype(np.intp)
             leaf_lengths = payload["leaf_lengths"].astype(np.intp)
@@ -563,6 +544,9 @@ class VPTreeIndex:
                 )
 
             index._root = rebuild(int(payload["root_ref"][0]))
+            index._layout = BlockLayout(db).placed(
+                index._root, _members, index._deleted
+            )
 
             if "store_path" in payload:
                 index._store = SequencePageStore.open(
@@ -588,7 +572,7 @@ class VPTreeIndex:
 
     def compressed_size_doubles(self) -> float:
         """Total storage of all sketches under the paper's accounting."""
-        db = self._sketch_db
+        db = self._layout.db
         return float(
             sum(db.sketch(i).storage_doubles() for i in range(len(db)))
         )

@@ -57,6 +57,7 @@ from repro import obs
 from repro.exceptions import (
     CorruptionError,
     KeyNotFoundError,
+    SeriesMismatchError,
     StorageError,
     TornWriteError,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "MMAP_ENV",
     "MemorySequenceStore",
     "SequencePageStore",
+    "adopt_store",
     "fsync_enabled_from_env",
     "mmap_enabled_from_env",
 ]
@@ -896,3 +898,26 @@ class MemorySequenceStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def adopt_store(store, matrix: np.ndarray):
+    """The verification store of an index built over ``matrix``.
+
+    ``None`` gives a fresh in-memory store; an empty store is filled
+    with ``matrix``; a populated store must already hold exactly
+    ``matrix``'s geometry.  A store with other rows would make the
+    verifier compare the query against different data than the index
+    bounded, so it raises :class:`~repro.exceptions.SeriesMismatchError`.
+    """
+    count, length = matrix.shape
+    if store is None:
+        store = MemorySequenceStore(length)
+    if len(store) == 0:
+        store.append_matrix(matrix)
+    elif len(store) != count or store.sequence_length != length:
+        raise SeriesMismatchError(
+            f"store holds {len(store)} sequences of length "
+            f"{store.sequence_length}, but the index matrix is "
+            f"{count} x {length}"
+        )
+    return store
