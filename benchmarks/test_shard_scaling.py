@@ -1,13 +1,10 @@
-"""Shard-scaling throughput: fork-per-call vs persistent shard workers.
+"""Shard-scaling throughput: in-process shards vs persistent shard workers.
 
-Two sweeps over the same database and query stream, one per scatter
+Two sweeps over the same database and query stream, one per shard
 transport:
 
-* ``fork`` — the original fork-per-call pool: every batched call forks
-  fresh workers and tears them down again.  Recorded for the trend (it
-  is the transport the pre-pool entries in ``BENCH_shards.json``
-  measured) but no longer gated: its per-call spawn cost is exactly what
-  the pool removes.
+* ``serial`` — every shard's sub-search runs in the calling process.
+  Recorded for the trend and ungated: it prices partitioning alone.
 * ``pool`` — the persistent :class:`~repro.cluster.ShardWorkerPool`:
   one warm worker per shard over shared memory, spawned once during the
   untimed build.  This is the architecture's acceptance bar: with at
@@ -20,7 +17,9 @@ transport:
 Results must stay bit-identical to the monolithic index at every shard
 count and on both transports; exactness is asserted inside the
 experiment.  Each sweep appends its own ``mode``-tagged entry to the
-``BENCH_shards.json`` trend at the repo root.
+``BENCH_shards.json`` trend at the repo root; older entries there carry
+``"mode": "fork"`` (a since-removed fork-per-call transport) and a
+``workers`` count, and stay readable through ``_bench_io``.
 """
 
 import json
@@ -38,7 +37,6 @@ from repro.evaluation import shard_scaling_experiment
 BENCH_JSON = REPO_ROOT / "BENCH_shards.json"
 
 K = 5
-WORKERS = 4
 SHARD_COUNTS = (1, 2, 4)
 
 
@@ -50,7 +48,6 @@ def _record(result, matrix, extra):
         "sequence_length": int(matrix.shape[1]),
         "queries": result.queries,
         "k": K,
-        "workers": WORKERS,
         "backend": result.backend,
         "cpu_count": os.cpu_count(),
         "agreement": result.agreement,
@@ -72,53 +69,54 @@ def _record(result, matrix, extra):
 def test_shard_scaling_throughput(database_matrix, query_matrix, report):
     matrix = database_matrix[:4096]
     # Steady-state traffic, not a single probe: both transports are
-    # measured over a real query stream, so per-call overheads (fork
-    # spawns there, queue round-trips here) are priced honestly.
+    # measured over a real query stream, so per-call overheads (pipe
+    # round-trips to the pool) are priced honestly.
     queries = np.vstack([query_matrix] * 8)
     compressor = StorageBudget(16).compressor("best_min_error")
     common = dict(
         shard_counts=SHARD_COUNTS,
         k=K,
-        workers=WORKERS,
         backend="flat",
         repeats=2,
         compressor=compressor,
     )
 
-    forked = shard_scaling_experiment(matrix, queries, **common)
-    assert forked.agreement  # sharded == monolithic, bit for bit
+    serial = shard_scaling_experiment(
+        matrix, queries, worker_pool=False, **common
+    )
+    assert serial.agreement  # sharded == monolithic, bit for bit
     pooled = shard_scaling_experiment(
         matrix, queries, worker_pool=True, **common
     )
     assert pooled.agreement
 
-    # Context row: the monolithic index on the query-axis fork pool, so
-    # the record relates both shard transports to the pre-cluster path.
+    # Context row: the unsharded index answering the same batch in
+    # process, so the record relates both shard transports to it.
     index = get_index("flat", matrix, compressor=compressor)
     started = time.perf_counter()
-    search_many(index, queries, k=K, workers=WORKERS)
-    monolithic_pooled_wall = time.perf_counter() - started
+    search_many(index, queries, k=K)
+    monolithic_wall = time.perf_counter() - started
 
-    context = {"monolithic_pooled_seconds": round(monolithic_pooled_wall, 4)}
-    fork_entry = _record(forked, matrix, context)
+    context = {"monolithic_serial_seconds": round(monolithic_wall, 4)}
+    serial_entry = _record(serial, matrix, context)
     pool_entry = _record(pooled, matrix, context)
-    append_trend(BENCH_JSON, fork_entry)
+    append_trend(BENCH_JSON, serial_entry)
     append_trend(BENCH_JSON, pool_entry)
 
     report(
-        forked.as_table(),
+        serial.as_table(),
         pooled.as_table(),
-        f"BENCH {json.dumps(fork_entry)}",
+        f"BENCH {json.dumps(serial_entry)}",
         f"BENCH {json.dumps(pool_entry)}",
     )
 
     assert len(matrix) == 2**12
-    assert forked.row_for(1).speedup == 1.0
+    assert serial.row_for(1).speedup == 1.0
     assert pooled.row_for(1).speedup == 1.0
 
     # The acceptance bar: persistent workers must make 4 shards *win*
-    # over 1 — the fork transport never did (its per-call spawn cost ate
-    # the parallelism; see docs/PERFORMANCE.md for the history).
+    # over 1 (a removed fork-per-call transport never did: its per-call
+    # spawn cost ate the parallelism; see docs/PERFORMANCE.md).
     cpus = os.cpu_count() or 1
     if cpus < 4:
         pytest.skip(

@@ -225,8 +225,8 @@ class _CountedKernel:
     kernels) still count as one call over ``len(db)`` pairs.
 
     The wrapper reduces to its method name under pickle, so index
-    structures holding a kernel (flat, VP-tree, MVP-tree) can cross the
-    fork-pool result boundary of the parallel shard builder.
+    structures holding a kernel (flat, VP-tree, MVP-tree) stay
+    picklable.
     """
 
     __slots__ = ("method", "__wrapped__")

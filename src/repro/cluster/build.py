@@ -33,7 +33,6 @@ from repro.cluster.manifest import ShardManifest
 from repro.cluster.partitioner import Partitioner
 from repro.cluster.router import ShardRouter
 from repro.compression.database import SketchDatabase
-from repro.engine.executor import fork_map
 from repro.exceptions import CorruptionError, ReproError, SeriesMismatchError
 from repro.storage.pagestore import SequencePageStore
 from repro.tools.envparse import parse_env_int
@@ -71,13 +70,10 @@ def default_worker_pool() -> bool:
 
     Any integer >= 1 enables it; the pool always runs one worker per
     populated shard, so the value is a switch, not a count.  Unset,
-    empty, or non-positive keeps the in-process scatter paths.
+    empty, or non-positive keeps the in-process paths; a non-integer
+    raises :class:`~repro.exceptions.ReproError` naming the variable.
     """
-    raw = os.environ.get("REPRO_SHARD_WORKERS", "").strip()
-    try:
-        return int(raw) >= 1
-    except ValueError:
-        return False
+    return parse_env_int("REPRO_SHARD_WORKERS", 0) >= 1
 
 
 def _canonical_backend(backend: str) -> str:
@@ -108,8 +104,6 @@ def build_sharded(
     names: Sequence[str] | None = None,
     directory: str | os.PathLike | None = None,
     partitioner: Partitioner | None = None,
-    workers: int | None = None,
-    build_workers: int | None = None,
     worker_pool: bool | None = None,
     **index_kwargs,
 ) -> ShardRouter:
@@ -132,24 +126,12 @@ def build_sharded(
         When given, each shard's sequences are persisted to its own
         page-store file there and a checksummed manifest is written, so
         :func:`open_sharded` can rebuild the router later.
-    workers:
-        Scatter parallelism of the returned router (see
-        :class:`~repro.cluster.ShardRouter`).
-    build_workers:
-        Build parallelism: shards are built (store write + index
-        construction) on a pool of forked workers, the same
-        :func:`~repro.engine.executor.fork_map` machinery the batched
-        search uses.  ``None`` or 1 keeps the serial path; the built
-        shard indexes — stores included — are pickled back to the
-        parent, which is why every registry backend is picklable.
-        Ignored when the worker pool is active: the pool's own warm-up
-        *is* the parallel build (every worker writes its shard's store
-        and constructs its index concurrently), so a separate build
-        fan-out would be redundant.
     worker_pool:
         ``True`` routes the returned router through a persistent
-        :class:`~repro.cluster.ShardWorkerPool`; ``False`` forces the
-        in-process paths; ``None`` (default) defers to
+        :class:`~repro.cluster.ShardWorkerPool`, whose warm-up is also
+        the parallel build (every worker writes its shard's store and
+        constructs its index concurrently); ``False`` builds and serves
+        in process; ``None`` (default) defers to
         :func:`default_worker_pool` (the ``REPRO_SHARD_WORKERS``
         environment switch).  Pooled routers return bit-identical
         answers, shut their workers down deterministically via
@@ -208,16 +190,10 @@ def build_sharded(
             members=members,
             shared_sketches=shared_sketches,
             index_kwargs=index_kwargs,
-            workers=workers,
         )
 
     def build_one(shard: int):
-        """Build shard ``shard`` end to end: store write + index build.
-
-        Runs either in the parent (serial path) or in a forked pool
-        worker; workers inherit ``matrix``/``members`` by fork and only
-        the finished shard index crosses the pickle boundary back.
-        """
+        """Build shard ``shard`` end to end: store write + index build."""
         rows = members[shard]
         sub_matrix = matrix[rows]
         store = None
@@ -248,34 +224,29 @@ def build_sharded(
         sub.obs_name = f"index.sharded.shard{shard:02d}"
         return sub
 
-    built = fork_map(build_one, range(len(members)), build_workers)
-    if built is None:
-        built = [build_one(shard) for shard in range(len(members))]
-    pairs = list(zip(built, members))
-    files = (
-        [_shard_file(shard) for shard in range(len(members))]
-        if directory is not None
-        else []
-    )
-
+    pairs = [(build_one(shard), rows) for shard, rows in enumerate(members)]
     router = ShardRouter(
         pairs,
         partitioner=partitioner,
-        workers=workers,
         sequence_length=n if total == 0 else None,
     )
     if directory is not None:
-        ShardManifest(
-            policy=partitioner.policy,
-            seed=partitioner.seed,
-            shards=partitioner.shards,
-            total=total,
-            sequence_length=n,
-            backend=key,
-            counts=tuple(int(rows.size) for rows in members),
-            files=tuple(files),
-        ).save(directory)
+        _save_manifest(directory, partitioner, members, n, key)
     return router
+
+
+def _save_manifest(directory, partitioner, members, n, key) -> None:
+    """Write the checksummed manifest describing a built directory."""
+    ShardManifest(
+        policy=partitioner.policy,
+        seed=partitioner.seed,
+        shards=partitioner.shards,
+        total=int(sum(rows.size for rows in members)),
+        sequence_length=n,
+        backend=key,
+        counts=tuple(int(rows.size) for rows in members),
+        files=tuple(_shard_file(shard) for shard in range(len(members))),
+    ).save(directory)
 
 
 def _pooled_pairs(pool, specs, members, sequence_length, arena):
@@ -332,7 +303,6 @@ def _build_pooled(
     members,
     shared_sketches,
     index_kwargs,
-    workers,
 ):
     """The worker-pool build: publish, spawn, warm, wire the router.
 
@@ -402,34 +372,22 @@ def _build_pooled(
                 )
             )
         arena.seal()
+        pool = ShardWorkerPool(specs, arena, shard_count=len(members))
     except BaseException:
         arena.close()
         raise
 
-    pool = ShardWorkerPool(specs, arena, shard_count=len(members))
     try:
         pool.start()  # warm-up = parallel store writes + index builds
         pairs = _pooled_pairs(pool, specs, members, n, arena)
         router = ShardRouter(
             pairs,
             partitioner=partitioner,
-            workers=workers,
             sequence_length=n if total == 0 else None,
             pool=pool,
         )
         if directory is not None:
-            ShardManifest(
-                policy=partitioner.policy,
-                seed=partitioner.seed,
-                shards=partitioner.shards,
-                total=total,
-                sequence_length=n,
-                backend=key,
-                counts=tuple(int(rows.size) for rows in members),
-                files=tuple(
-                    _shard_file(shard) for shard in range(len(members))
-                ),
-            ).save(directory)
+            _save_manifest(directory, partitioner, members, n, key)
         return router
     except BaseException:
         pool.close()
@@ -440,7 +398,6 @@ def open_sharded(
     directory: str | os.PathLike,
     *,
     backend: str | None = None,
-    workers: int | None = None,
     worker_pool: bool | None = None,
     **index_kwargs,
 ) -> ShardRouter:
@@ -499,7 +456,6 @@ def open_sharded(
             return ShardRouter(
                 pairs,
                 partitioner=partitioner,
-                workers=workers,
                 sequence_length=manifest.sequence_length,
                 pool=pool,
             )
@@ -535,6 +491,5 @@ def open_sharded(
     return ShardRouter(
         pairs,
         partitioner=partitioner,
-        workers=workers,
         sequence_length=manifest.sequence_length,
     )

@@ -7,10 +7,9 @@ accounting, the resilience guards, :class:`~repro.resilience.FaultyIndex`
 — works against a sharded population unchanged.  The router owns only
 *routing*:
 
-* **scatter** — each shard's own generator runs over the query (serially,
-  on a fork pool, or on the persistent
-  :class:`~repro.cluster.ShardWorkerPool`), producing a per-shard
-  :class:`~repro.engine.core.CandidateSet`;
+* **scatter** — each shard's own generator runs over the query (in
+  process, or on the persistent :class:`~repro.cluster.ShardWorkerPool`),
+  producing a per-shard :class:`~repro.engine.core.CandidateSet`;
 * **gather** — per-shard candidates are translated to global ids and
   merged under one *global* :math:`\\sigma_{UB}`, rebuilt from the
   shards' ``top_ubs``: each of the global k smallest upper bounds lies
@@ -43,7 +42,6 @@ from repro.engine.core import (
     execute_knn,
     execute_range,
 )
-from repro.engine.executor import fork_map
 from repro.exceptions import KeyNotFoundError, ReproError
 from repro.index.results import Neighbor, SearchStats
 from repro.resilience.quarantine import quarantine_of
@@ -121,16 +119,11 @@ class ShardRouter:
     partitioner:
         The :class:`~repro.cluster.Partitioner` that produced the split;
         required for routing dynamic inserts.
-    workers:
-        ``None``/1 scatters serially; ``N > 1`` runs the per-shard
-        generators on a fork pool (streaming generators are materialised
-        in the workers, since lazy iterators cannot cross processes).
-        Ignored when ``pool`` is given.
     pool:
         A started :class:`~repro.cluster.ShardWorkerPool`.  When given,
         candidate generation is delegated to the persistent workers
-        (one warm process per populated shard) instead of forking per
-        call; the router owns the pool and shuts it down in
+        (one warm process per populated shard) instead of running in
+        process; the router owns the pool and shuts it down in
         :meth:`close`.  Gather, verification and accounting are
         unchanged, so answers are bit-identical to the serial scatter
         (see ``docs/CONCURRENCY.md``).
@@ -142,7 +135,6 @@ class ShardRouter:
         self,
         shards: Sequence[tuple[object, np.ndarray]],
         partitioner=None,
-        workers: int | None = None,
         sequence_length: int | None = None,
         pool=None,
     ) -> None:
@@ -153,7 +145,6 @@ class ShardRouter:
             np.asarray(ids, dtype=np.intp) for _, ids in shards
         ]
         self._partitioner = partitioner
-        self._workers = workers
         for sub, ids in zip(self._shards, self._global_ids):
             if sub is None and ids.size:
                 raise ReproError("a populated shard needs an index")
@@ -209,13 +200,8 @@ class ShardRouter:
         return len(self._shards)
 
     @property
-    def scatter_workers(self) -> int | None:
-        """The router's configured scatter parallelism (may be ``None``)."""
-        return self._workers
-
-    @property
     def worker_pool(self):
-        """The persistent shard worker pool, or ``None`` (fork/serial)."""
+        """The persistent shard worker pool, or ``None`` (in process)."""
         return self._pool
 
     def populated_shards(self) -> list[int]:
@@ -261,21 +247,15 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Scatter
     # ------------------------------------------------------------------
-    def _scatter(self, generate, stats: SearchStats, knn: bool):
+    def _scatter(self, generate, stats: SearchStats):
         """One candidate set per shard (``None`` subs yield empty sets).
 
-        Serial scatter passes the caller's ``stats`` straight through to
-        the shard generators (streaming generators keep mutating it
+        In-process scatter passes the caller's ``stats`` straight through
+        to the shard generators (streaming generators keep mutating it
         lazily, exactly as monolithically); a generator failure restores
         the pre-shard snapshot and swaps in that shard's exhaustive
         fallback, so one poisoned shard degrades only itself.
         """
-        pooled = None
-        if self._workers is not None and self._workers > 1:
-            pooled = self._scatter_pooled(generate, knn)
-        if pooled is not None:
-            return self._absorb_triples(pooled, stats)
-
         shard_sets = []
         for sub in self._shards:
             if sub is None or len(sub) == 0:
@@ -296,10 +276,9 @@ class ShardRouter:
         return shard_sets
 
     def _absorb_triples(self, triples, stats: SearchStats):
-        """Fold out-of-process ``(candidates, stats, error)`` triples in.
+        """Fold the worker pool's ``(candidates, stats, error)`` triples in.
 
-        Shared by the fork-pool and persistent-pool transports: a
-        shard's error (generator failure there, worker death here) is
+        A shard's error (a generator failure or a worker death) is
         recorded on the router's quarantine and the shard's exhaustive
         fallback candidates stand in — unless degradation is disabled,
         in which case the error propagates.
@@ -314,41 +293,6 @@ class ShardRouter:
             stats.merge(sub_stats)
             shard_sets.append(cands)
         return shard_sets
-
-    def _scatter_pooled(self, generate, knn: bool):
-        """Fork-pool scatter; ``None`` when the pool cannot help.
-
-        Each worker returns ``(candidates, stats, error)`` with streams
-        materialised (iterators cannot cross processes) and the shard's
-        generator accounting in its own :class:`SearchStats`, merged by
-        the parent.
-        """
-
-        def shard_task(position: int):
-            sub = self._shards[position]
-            if sub is None or len(sub) == 0:
-                return CandidateSet(entries=[], generated=0), SearchStats(), None
-            sub_stats = SearchStats()
-            try:
-                cands = generate(sub, sub_stats)
-                if cands.stream is not None:
-                    entries = list(cands.stream)
-                    cands = CandidateSet(
-                        entries=entries,
-                        # A k-NN stream enumerates (and bounds) members
-                        # until consumed; materialised here, all of them.
-                        generated=len(entries) if knn else cands.generated,
-                        sigma_sq=cands.sigma_sq,
-                        paid=cands.paid,
-                        top_ubs=cands.top_ubs,
-                    )
-                return cands, sub_stats, None
-            except (ReproError, OSError) as exc:
-                fallback_stats = SearchStats()
-                fallback_stats.degraded = True
-                return _shard_fallback(len(sub)), fallback_stats, exc
-
-        return fork_map(shard_task, range(len(self._shards)), self._workers)
 
     # ------------------------------------------------------------------
     # Gather
@@ -496,7 +440,6 @@ class ShardRouter:
                         query, k, sub_stats
                     ),
                     stats,
-                    knn=True,
                 )
         with obs.span("cluster.gather"):
             return self._merge_knn(shard_sets, k)
@@ -532,7 +475,6 @@ class ShardRouter:
                         query, radius, sub_stats
                     ),
                     stats,
-                    knn=False,
                 )
         with obs.span("cluster.gather"):
             return self._merge_range(shard_sets)

@@ -4,10 +4,8 @@ One shared verification/accounting core (:mod:`repro.engine.core`), a
 string-keyed registry of the index structures — the six monolithic ones
 plus the sharded scatter-gather router
 (:mod:`repro.engine.registry`), a batched multi-query entry point
-(:mod:`repro.engine.batch`), the shared fork-pool executor both the
-batched and the sharded paths fan out through
-(:mod:`repro.engine.executor`), and the opt-in approximate tier's
-policy object (:mod:`repro.engine.approx`).  See ``docs/ENGINE.md``,
+(:mod:`repro.engine.batch`), and the opt-in approximate tier's policy
+object (:mod:`repro.engine.approx`).  See ``docs/ENGINE.md``,
 ``docs/SHARDING.md`` and ``docs/APPROX.md``.
 """
 
@@ -33,7 +31,6 @@ from repro.engine.core import (
     execute_range,
     verify_block_size,
 )
-from repro.engine.executor import fork_map
 from repro.engine.registry import available_indexes, get_index
 
 __all__ = [
@@ -53,7 +50,6 @@ __all__ = [
     "env_approx_policy",
     "execute_knn",
     "execute_range",
-    "fork_map",
     "get_index",
     "resolve_policy",
     "search_many",

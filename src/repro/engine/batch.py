@@ -5,19 +5,15 @@ distance kernel per block — lives in :mod:`repro.engine.core` and serves
 single queries and batches alike (see ``_refine_knn_blocked`` there; it
 is bit-identical to the scalar reference loop, stats included).  What
 this module adds is the *batch axis*: validation amortised once per
-matrix, an ``engine.search_many`` obs span, and fan-out.
+matrix, an ``engine.search_many`` obs span, and the shard fan-out.
 
-``workers=N`` fans the work out over a process pool through the shared
-executor (:func:`repro.engine.executor.fork_map`; fork start method: the
-index is shared by inheritance, since bound kernels hold closures that
-cannot pickle).  On a single core the blocked verifier is the win; extra
-cores multiply it.  For a :class:`~repro.cluster.ShardRouter` the
-fan-out axis is the *shard* instead of the query span: each worker runs
-the whole batch against one shard and the parent merges the per-shard
-answers into global top-k results — same executor, different work items.
-A router backed by a persistent :class:`~repro.cluster.ShardWorkerPool`
-skips the fork entirely: the batch is shipped to the already-warm
-workers in one request per shard (see ``docs/CONCURRENCY.md``).
+A monolithic index answers the batch in process, one query after the
+other.  For a :class:`~repro.cluster.ShardRouter` the batch runs as one
+full sub-search per *shard*, and the parent merges the per-shard
+answers into global top-k results.  A router backed by a persistent
+:class:`~repro.cluster.ShardWorkerPool` runs those sub-searches in
+parallel: the batch is shipped to the already-warm workers in one
+request per shard (see ``docs/CONCURRENCY.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from repro.engine.core import (
     _publish_approx,
     _refine_knn,
 )
-from repro.engine.executor import fork_map
 from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
 
@@ -82,7 +77,6 @@ def search_many(
     queries,
     k: int = 1,
     *,
-    workers: int | None = None,
     policy: ApproxPolicy | None = None,
 ) -> list[tuple[list[Neighbor], SearchStats]]:
     """k-NN for every row of ``queries``; returns one result per query.
@@ -95,16 +89,12 @@ def search_many(
         ``(q, n)`` matrix of queries, validated once for the whole batch.
     k:
         Neighbours per query.
-    workers:
-        ``None`` (or 1) runs in-process; ``N > 1`` fans contiguous query
-        chunks out over ``N`` forked worker processes.  Falls back to
-        in-process execution where fork is unavailable.
     policy:
         An :class:`~repro.engine.ApproxPolicy` opting the whole batch
         into the approximate tier; ``None`` defers to the
         ``REPRO_APPROX_*`` knobs.  The policy is resolved once here and
-        shipped explicitly to forked and pooled workers, so a batch is
-        never split across two readings of the environment.
+        shipped explicitly to pooled workers, so a batch is never split
+        across two readings of the environment.
 
     Each query's result is exactly what ``index.search(query, k,
     policy)`` returns; per-query stats are published to the active obs
@@ -117,20 +107,12 @@ def search_many(
     policy = resolve_policy(policy)
 
     with obs.span("engine.search_many"):
-        results: list[tuple[list[Neighbor], SearchStats]] | None = None
         if callable(getattr(index, "shard_views", None)):
-            results = _sharded_fanout(index, queries, k, workers, policy)
+            results = _sharded_fanout(index, queries, k, policy)
         else:
-            if workers is not None and workers > 1 and len(queries) > 1:
-                results = fork_map(
-                    lambda query: _search_one(index, query, k, policy),
-                    queries,
-                    workers,
-                )
-            if results is None:
-                results = [
-                    _search_one(index, query, k, policy) for query in queries
-                ]
+            results = [
+                _search_one(index, query, k, policy) for query in queries
+            ]
 
     prefix = f"{index.obs_name}.search"
     for _, stats in results:
@@ -181,7 +163,7 @@ def _routed_query_from_triples(router, query, k, triples, policy):
     return neighbors, stats
 
 
-def _sharded_fanout_approx(router, queries, k, workers, policy):
+def _sharded_fanout_approx(router, queries, k, policy):
     """Batched fan-out under a non-exact policy: verify at the parent.
 
     The exact batch path runs one *full sub-search per shard* and merges
@@ -197,55 +179,38 @@ def _sharded_fanout_approx(router, queries, k, workers, policy):
     bit-identical to the per-query path.
     """
     pool = getattr(router, "worker_pool", None)
-    if pool is not None:
-        per_query = pool.batch_candidates(queries, k)
-        if per_query is not None:
-            return [
-                _routed_query_from_triples(router, query, k, triples, policy)
-                for query, triples in zip(queries, per_query)
-            ]
-        # A worker died mid-batch: the per-query scatter path absorbs
-        # worker death (fallback scan + quarantine note).
+    per_query = None if pool is None else pool.batch_candidates(queries, k)
+    if per_query is None:
+        # No pool, or a worker died mid-batch: the per-query scatter
+        # path serves the batch (and absorbs worker death with a
+        # fallback scan plus a quarantine note).
         return [router.search(query, k=k, policy=policy) for query in queries]
-    # No pool: the per-query scatter already fans out across shards
-    # (``fork_map`` inside ``router.search``), and ``fork_map`` is not
-    # reentrant — an outer fork over queries would have its inherited
-    # globals cleared by the inner call — so the query axis stays serial.
-    return [router.search(query, k=k, policy=policy) for query in queries]
+    return [
+        _routed_query_from_triples(router, query, k, triples, policy)
+        for query, triples in zip(queries, per_query)
+    ]
 
 
-def _sharded_fanout(router, queries, k, workers, policy):
+def _sharded_fanout(router, queries, k, policy):
     """One full sub-search per shard, merged into global per-query top-k.
 
-    The parallelism axis is the *shard*: each task runs the whole query
-    batch against one shard at ``min(k, shard_size)`` — exact within the
-    shard, so the union of per-shard answers contains the global top-k —
-    and the parent translates sequence ids (results and quarantine
-    reports) to global ids and keeps the k canonical smallest
-    ``(distance, seq_id)`` pairs per query.  Per-shard stats are
-    published under each shard's own obs name; the merged per-query
+    Each shard runs the whole query batch at ``min(k, shard_size)`` —
+    exact within the shard, so the union of per-shard answers contains
+    the global top-k — in process, or on its warm worker when the
+    router has a pool.  The parent translates sequence ids (results and
+    quarantine reports) to global ids and keeps the k canonical
+    smallest ``(distance, seq_id)`` pairs per query.  Per-shard stats
+    are published under each shard's own obs name; the merged per-query
     stats keep the extended accounting invariant globally, because the
     shards partition the population and each sub-search already honours
     it locally.  That containment argument needs *exact* sub-searches,
     so non-exact policies take :func:`_sharded_fanout_approx` instead.
     """
-    if workers is None:
-        workers = getattr(router, "scatter_workers", None)
     if not policy.exact:
-        return _sharded_fanout_approx(router, queries, k, workers, policy)
+        return _sharded_fanout_approx(router, queries, k, policy)
     views = router.shard_views()
 
-    def shard_task(view):
-        sub, _ = view
-        sub_k = min(k, len(sub))
-        return [_search_one(sub, query, sub_k, policy) for query in queries]
-
-    parts = None
-    pool = getattr(router, "worker_pool", None)
-    if pool is not None:
-        # Persistent-pool fan-out: every warm worker runs the whole
-        # batch against its shard in one request — the same work as
-        # ``shard_task``, without a fork or a re-pickle of the index.
+    if getattr(router, "worker_pool", None) is not None:
         parts = _pool_parts(router, queries, k, policy)
         if parts is None:
             # A worker died mid-batch.  The per-query scatter path
@@ -253,10 +218,14 @@ def _sharded_fanout(router, queries, k, workers, policy):
             # answers exact but flagged degraded), so route the batch
             # through it rather than reasoning about partial results.
             return [router.search(query, k=k, policy=policy) for query in queries]
-    if parts is None:
-        parts = fork_map(shard_task, views, workers)
-    if parts is None:
-        parts = [shard_task(view) for view in views]
+    else:
+        parts = [
+            [
+                _search_one(sub, query, min(k, len(sub)), policy)
+                for query in queries
+            ]
+            for sub, _ in views
+        ]
     obs.add("cluster.fanout_shards", len(views))
 
     size = len(router)

@@ -17,8 +17,9 @@ the fast ingest pipeline against their per-row references:
 Equivalence is asserted inside the experiment, not assumed: the batch
 database must compare equal array-for-array with the scalar one, and the
 bulk-written file must be byte-identical to the per-row file.  A third
-section times :func:`repro.cluster.build_sharded` serially vs on the
-fork pool, when shard counts are requested.
+section times :func:`repro.cluster.build_sharded` in process vs on the
+persistent worker pool (whose warm-up is the parallel build), when a
+shard count is requested.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class IngestResult:
     shard_serial_seconds: float | None
     shard_parallel_seconds: float | None
     shard_count: int | None
-    build_workers: int | None
     equivalent: bool
 
     @property
@@ -142,8 +142,7 @@ class IngestResult:
             lines.append(
                 f"shard build ({self.shard_count} shards): serial "
                 f"{self.shard_serial_seconds:.3f}s, "
-                f"{self.build_workers}-worker pool "
-                f"{self.shard_parallel_seconds:.3f}s "
+                f"worker pool {self.shard_parallel_seconds:.3f}s "
                 f"({self.shard_build_speedup:.1f}x)"
             )
         lines.append(
@@ -174,7 +173,6 @@ def ingest_experiment(
     tmp_dir,
     compressor=None,
     shards: int | None = None,
-    build_workers: int | None = None,
     shard_backend: str = "flat",
     repeats: int = 3,
 ) -> IngestResult:
@@ -189,10 +187,10 @@ def ingest_experiment(
     compressor:
         Any fixed-k compressor (default ``BestMinErrorCompressor(14)``,
         the paper's headline configuration).
-    shards / build_workers:
-        When both are given, additionally time
-        :func:`repro.cluster.build_sharded` with ``build_workers=None``
-        (serial) vs the requested pool size.
+    shards:
+        When given, additionally time :func:`repro.cluster.build_sharded`
+        into that many shards in process (``worker_pool=False``) vs on
+        the persistent worker pool (``worker_pool=True``).
     shard_backend:
         Registry backend for the shard-build timing.  ``"vptree"`` makes
         the per-shard work dominate (tree construction), which is the
@@ -277,30 +275,26 @@ def ingest_experiment(
     )
 
     shard_serial = shard_parallel = None
-    if shards is not None and build_workers is not None:
+    if shards is not None:
         from repro.cluster.build import build_sharded
 
-        kwargs = dict(
-            shards=shards, backend=shard_backend, compressor=compressor
-        )
-        os.sync()
-        started = time.perf_counter()
-        build_sharded(
-            matrix,
-            directory=os.path.join(tmp_dir, "shards-serial"),
-            build_workers=None,
-            **kwargs,
-        )
-        shard_serial = time.perf_counter() - started
-        os.sync()
-        started = time.perf_counter()
-        build_sharded(
-            matrix,
-            directory=os.path.join(tmp_dir, "shards-parallel"),
-            build_workers=build_workers,
-            **kwargs,
-        )
-        shard_parallel = time.perf_counter() - started
+        def _timed_build(label: str, worker_pool: bool) -> float:
+            os.sync()
+            started = time.perf_counter()
+            router = build_sharded(
+                matrix,
+                directory=os.path.join(tmp_dir, f"shards-{label}"),
+                shards=shards,
+                backend=shard_backend,
+                compressor=compressor,
+                worker_pool=worker_pool,
+            )
+            elapsed = time.perf_counter() - started
+            router.close()
+            return elapsed
+
+        shard_serial = _timed_build("serial", False)
+        shard_parallel = _timed_build("pool", True)
 
     def row(path: str, timing: tuple[float, float]) -> IngestRow:
         wall, cpu = timing
@@ -315,7 +309,6 @@ def ingest_experiment(
         store_bulk=row("store bulk append_matrix", bulk_store),
         shard_serial_seconds=shard_serial,
         shard_parallel_seconds=shard_parallel,
-        shard_count=shards if shard_serial is not None else None,
-        build_workers=build_workers if shard_serial is not None else None,
+        shard_count=shards,
         equivalent=equivalent,
     )

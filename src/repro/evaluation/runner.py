@@ -158,7 +158,6 @@ def run_report(
                 tmp,
                 compressor=budget_objects[-1].compressor("best_min_error"),
                 shards=shards or 4,
-                build_workers=4,
             )
         print(result.as_table(), file=out)
 
@@ -181,21 +180,22 @@ def run_report(
             out,
         )
         counts = (1, shards) if shards > 1 else (1,)
-        scaling = shard_scaling_experiment(
-            matrix,
-            query_matrix,
-            shard_counts=counts,
-            k=5,
-            workers=min(4, max(shards, 1)),
-            backend="flat",
-            compressor=budget_objects[-1].compressor("best_min_error"),
-        )
-        print(scaling.as_table(), file=out)
-        print(
-            "agreement with the unsharded index: "
-            + ("bit-identical" if scaling.agreement else "MISMATCH"),
-            file=out,
-        )
+        for worker_pool in (False, True):
+            scaling = shard_scaling_experiment(
+                matrix,
+                query_matrix,
+                shard_counts=counts,
+                k=5,
+                backend="flat",
+                worker_pool=worker_pool,
+                compressor=budget_objects[-1].compressor("best_min_error"),
+            )
+            print(scaling.as_table(), file=out)
+            print(
+                f"{scaling.mode} agreement with the unsharded index: "
+                + ("bit-identical" if scaling.agreement else "MISMATCH"),
+                file=out,
+            )
 
     if approx:
         _section(

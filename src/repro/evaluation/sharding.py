@@ -3,10 +3,11 @@
 The paper's evaluation (section 7) is monolithic — one index answers
 every query.  The cluster layer splits the same population into N
 self-contained shards behind a :class:`~repro.cluster.ShardRouter`, and
-the engine's batched path fans a whole query stream out one shard per
-worker (see :mod:`repro.engine.batch`).  This experiment measures what
-that buys: batched k-NN throughput over the same database and query
-workload at increasing shard counts, on a fixed-size worker pool.
+the engine's batched path runs a whole query stream as one sub-search
+per shard (see :mod:`repro.engine.batch`), in process or on one
+persistent pool worker per shard.  This experiment measures what that
+buys: batched k-NN throughput over the same database and query workload
+at increasing shard counts.
 
 Exactness is asserted, not assumed.  Every sharded configuration's
 results must be bit-identical — ids, distances and ordering — to the
@@ -15,9 +16,9 @@ result's ``agreement`` flag, which callers treat as failure.  Speedups
 are therefore like-for-like: the router does the same exact search, just
 partitioned.
 
-On a single-core host the scatter pool degenerates to serial per-shard
-execution, so the speedup column mostly shows partitioning overhead;
-the figure-of-merit runs need ``workers`` real cores.
+In process, or on a host with fewer cores than shards, the speedup
+column mostly shows partitioning overhead; the figure-of-merit pooled
+runs need one real core per shard.
 """
 
 from __future__ import annotations
@@ -61,14 +62,13 @@ class ShardScalingResult:
     queries: int
     k: int
     backend: str
-    workers: int
     #: True iff every sharded configuration returned bit-identical
     #: results to the monolithic index.
     agreement: bool
     rows: tuple[ShardScalingRow, ...]
-    #: Scatter transport: ``"fork"`` (fork-per-call pool, the
-    #: original path) or ``"pool"`` (persistent shard workers).
-    mode: str = "fork"
+    #: Shard transport: ``"serial"`` (in process) or ``"pool"``
+    #: (persistent shard workers).
+    mode: str = "serial"
 
     def row_for(self, shards: int) -> ShardScalingRow:
         """The measured row for one shard count."""
@@ -93,8 +93,7 @@ class ShardScalingResult:
             title=(
                 f"shard scaling: {self.database_size} seqs, "
                 f"{self.queries} queries, k={self.k}, "
-                f"backend={self.backend}, {self.workers}-worker scatter, "
-                f"{self.mode} transport"
+                f"backend={self.backend}, {self.mode} transport"
             ),
             digits=3,
         )
@@ -113,7 +112,6 @@ def shard_scaling_experiment(
     *,
     shard_counts: Sequence[int] = (1, 2, 4),
     k: int = 5,
-    workers: int = 4,
     backend: str = "flat",
     policy: str = "hash",
     seed: int = 0,
@@ -129,7 +127,7 @@ def shard_scaling_experiment(
     constructors.  ``repeats`` takes the best of N timed runs per
     configuration, which filters pool start-up jitter on loaded hosts.
     ``worker_pool=True`` measures the persistent shard-worker transport
-    instead of the fork-per-call pool; workers are warmed during the
+    instead of in-process sharding; workers are warmed during the
     untimed build, so the timed loop sees steady-state serving.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -150,7 +148,6 @@ def shard_scaling_experiment(
             policy=policy,
             seed=seed,
             backend=backend,
-            workers=workers,
             worker_pool=worker_pool,
             **index_kwargs,
         )
@@ -159,7 +156,7 @@ def shard_scaling_experiment(
             results = None
             for _ in range(max(1, int(repeats))):
                 started = time.perf_counter()
-                results = search_many(router, queries, k=k, workers=workers)
+                results = search_many(router, queries, k=k)
                 wall = min(wall, time.perf_counter() - started)
             agreement = agreement and _pairs(results) == expected
         finally:
@@ -180,8 +177,7 @@ def shard_scaling_experiment(
         queries=len(queries),
         k=k,
         backend=backend,
-        workers=workers,
         agreement=agreement,
         rows=tuple(rows),
-        mode="pool" if worker_pool else "fork",
+        mode="pool" if worker_pool else "serial",
     )

@@ -32,7 +32,7 @@ includes the rows of an entered block that pruning never reached.
 
 Each tree node carries its layout position in ``pos`` and, when it
 roots a block, the block's index in ``block``.  The annotations travel
-with the nodes, so pickled trees (parallel shard builds) keep working.
+with the nodes, so pickled and deep-copied trees keep working.
 """
 
 from __future__ import annotations

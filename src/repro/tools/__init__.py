@@ -8,6 +8,7 @@ hierarchy.
 """
 
 from repro.tools.envparse import (
+    parse_env_choice,
     parse_env_float,
     parse_env_int,
     parse_env_optional_int,
@@ -19,6 +20,7 @@ __all__ = [
     "burst_chart",
     "S2Shell",
     "build_workspace",
+    "parse_env_choice",
     "parse_env_float",
     "parse_env_int",
     "parse_env_optional_int",

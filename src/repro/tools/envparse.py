@@ -1,7 +1,8 @@
 """Shared parsing for the ``REPRO_*`` environment knobs.
 
 Every tunable the engine reads from the environment —
-``REPRO_VERIFY_BLOCK``, ``REPRO_SHARDS``, ``REPRO_CACHE_BYTES``,
+``REPRO_VERIFY_BLOCK``, ``REPRO_SHARDS``, ``REPRO_SHARD_WORKERS``,
+``REPRO_POOL_START_METHOD``, ``REPRO_CACHE_BYTES``,
 ``REPRO_APPROX_EPSILON``, ``REPRO_APPROX_PATIENCE`` — goes through the
 helpers below, so a typo'd value fails the same way everywhere: a
 :class:`~repro.exceptions.ReproError` (or a caller-chosen subclass)
@@ -22,6 +23,7 @@ import os
 from repro.exceptions import ReproError
 
 __all__ = [
+    "parse_env_choice",
     "parse_env_float",
     "parse_env_int",
     "parse_env_optional_int",
@@ -117,3 +119,21 @@ def parse_env_float(
             f"{name} must be a finite number, got {raw!r}"
         )
     return _check_minimum(name, value, raw, minimum, error)
+
+
+def parse_env_choice(name: str, default: str, choices) -> str:
+    """One of ``choices`` from ``os.environ[name]``, else ``default``.
+
+    Returns ``default`` when the variable is unset or blank.  Raises
+    :class:`~repro.exceptions.ReproError` naming the variable and
+    listing the accepted values when the value is not one of
+    ``choices``.
+    """
+    raw = _raw(name)
+    if raw is None:
+        return default
+    if raw not in choices:
+        raise ReproError(
+            f"{name} must be one of {', '.join(choices)}, got {raw!r}"
+        )
+    return raw

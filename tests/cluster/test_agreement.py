@@ -75,13 +75,12 @@ def test_batched_fanout_matches_monolithic(matrix, queries, backend):
     router = build_sharded(matrix, shards=4, backend=backend)
     batch = np.stack(queries)
     expected = search_many(mono, batch, k=4)
-    for workers in (None, 2):
-        got = search_many(router, batch, k=4, workers=workers)
-        assert [as_pairs(hits) for hits, _ in got] == [
-            as_pairs(hits) for hits, _ in expected
-        ], (backend, workers)
-        for _, stats in got:
-            assert_invariant(stats, len(matrix))
+    got = search_many(router, batch, k=4)
+    assert [as_pairs(hits) for hits, _ in got] == [
+        as_pairs(hits) for hits, _ in expected
+    ], backend
+    for _, stats in got:
+        assert_invariant(stats, len(matrix))
 
 
 @pytest.mark.parametrize("policy", ["hash", "round_robin"])
@@ -105,20 +104,26 @@ def test_duplicates_split_across_shards_keep_id_order(matrix, policy):
 
 
 def test_pooled_scatter_matches_serial_per_query(matrix, queries):
-    serial = build_sharded(matrix, shards=3, backend="vptree")
-    pooled = build_sharded(matrix, shards=3, backend="vptree", workers=2)
-    for query in queries:
-        a, _ = serial.search(query, k=5)
-        b, _ = pooled.search(query, k=5)
-        assert as_pairs(a) == as_pairs(b)
+    serial = build_sharded(
+        matrix, shards=3, backend="vptree", worker_pool=False
+    )
+    with build_sharded(
+        matrix, shards=3, backend="vptree", worker_pool=True
+    ) as pooled:
+        for query in queries:
+            a, _ = serial.search(query, k=5)
+            b, _ = pooled.search(query, k=5)
+            assert as_pairs(a) == as_pairs(b)
 
 
 def test_streaming_backend_pooled_scatter(matrix, queries):
     """R-tree streams must materialise cleanly inside pool workers."""
     mono = get_index("rtree", matrix)
-    pooled = build_sharded(matrix, shards=3, backend="rtree", workers=2)
-    for query in queries:
-        expected, _ = mono.search(query, k=3)
-        got, stats = pooled.search(query, k=3)
-        assert as_pairs(got) == as_pairs(expected)
-        assert_invariant(stats, len(matrix))
+    with build_sharded(
+        matrix, shards=3, backend="rtree", worker_pool=True
+    ) as pooled:
+        for query in queries:
+            expected, _ = mono.search(query, k=3)
+            got, stats = pooled.search(query, k=3)
+            assert as_pairs(got) == as_pairs(expected)
+            assert_invariant(stats, len(matrix))

@@ -120,7 +120,7 @@ def test_batched_matches_per_query(matrix, queries, pooled, policy):
     ``router.search`` per query.
     """
     router = build_sharded(
-        matrix, shards=3, backend="flat", workers=2 if pooled else None
+        matrix, shards=3, backend="flat", worker_pool=pooled
     )
     try:
         batch = np.stack(queries)
@@ -129,9 +129,7 @@ def test_batched_matches_per_query(matrix, queries, pooled, policy):
             solo_hits, solo_stats = router.search(query, k=5, policy=policy)
             assert snap(hits, stats) == snap(solo_hits, solo_stats), pooled
     finally:
-        close = getattr(router, "close", None)
-        if close is not None:
-            close()
+        router.close()
 
 
 def test_range_epsilon_through_router(matrix, queries):

@@ -1,16 +1,15 @@
 """Parallel shard builds must be indistinguishable from serial ones.
 
-``build_sharded(build_workers=N)`` builds every shard — page-store write
-plus index construction — on the engine's fork pool; the finished shard
-indexes are pickled back to the parent.  Nothing about the result may
-depend on *where* a shard was built: router answers, shard membership,
-and the bytes of every shard file have to match the serial path exactly.
+``build_sharded(worker_pool=True)`` builds every shard — page-store
+write plus index construction — concurrently, one warm pool worker per
+populated shard.  Nothing about the result may depend on *where* a shard
+was built: router answers, shard membership, and the bytes of every
+shard file have to match the in-process build exactly.
 """
 
 import filecmp
 import os
 
-import numpy as np
 import pytest
 
 from repro.cluster import build_sharded, open_sharded
@@ -36,14 +35,14 @@ def _answers(router, queries, k=K):
 @pytest.mark.parametrize(
     "backend", ("flat", "vptree", "mvptree", "mtree", "rtree", "scan")
 )
-def test_parallel_build_matches_serial(backend, matrix, queries, tmp_path):
+def test_parallel_build_matches_serial(backend, matrix, queries):
     serial = build_sharded(
-        matrix, shards=4, backend=backend, seed=3, build_workers=None
+        matrix, shards=4, backend=backend, seed=3, worker_pool=False
     )
-    parallel = build_sharded(
-        matrix, shards=4, backend=backend, seed=3, build_workers=2
-    )
-    assert _answers(serial, queries) == _answers(parallel, queries)
+    with build_sharded(
+        matrix, shards=4, backend=backend, seed=3, worker_pool=True
+    ) as parallel:
+        assert _answers(serial, queries) == _answers(parallel, queries)
 
 
 def test_parallel_build_writes_identical_shard_files(matrix, tmp_path):
@@ -54,15 +53,15 @@ def test_parallel_build_writes_identical_shard_files(matrix, tmp_path):
         shards=3,
         backend="flat",
         directory=serial_dir,
-        build_workers=None,
-    )
+        worker_pool=False,
+    ).close()
     build_sharded(
         matrix,
         shards=3,
         backend="flat",
         directory=parallel_dir,
-        build_workers=3,
-    )
+        worker_pool=True,
+    ).close()
     files = sorted(f for f in os.listdir(serial_dir) if f.endswith(".pages"))
     assert files == sorted(
         f for f in os.listdir(parallel_dir) if f.endswith(".pages")
@@ -76,22 +75,9 @@ def test_parallel_build_writes_identical_shard_files(matrix, tmp_path):
 def test_parallel_built_directory_reopens(matrix, queries, tmp_path):
     """A pool-built directory round-trips through open_sharded."""
     directory = tmp_path / "pool"
-    router = build_sharded(
-        matrix, shards=4, backend="flat", directory=directory, build_workers=2
-    )
-    reopened = open_sharded(directory)
-    assert _answers(router, queries) == _answers(reopened, queries)
-
-
-def test_single_worker_and_single_shard_fall_back_serially(matrix, queries):
-    """The degenerate pool configurations take the in-process path."""
-    one_worker = build_sharded(
-        matrix, shards=4, backend="flat", build_workers=1
-    )
-    one_shard = build_sharded(
-        matrix, shards=1, backend="flat", build_workers=4
-    )
-    reference = build_sharded(matrix, shards=4, backend="flat")
-    assert _answers(one_worker, queries) == _answers(reference, queries)
-    mono = build_sharded(matrix, shards=1, backend="flat")
-    assert _answers(one_shard, queries) == _answers(mono, queries)
+    with build_sharded(
+        matrix, shards=4, backend="flat", directory=directory, worker_pool=True
+    ) as router:
+        expected = _answers(router, queries)
+    with open_sharded(directory, worker_pool=False) as reopened:
+        assert _answers(reopened, queries) == expected

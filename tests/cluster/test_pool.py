@@ -158,6 +158,32 @@ def test_env_switch_enables_pool(matrix, monkeypatch):
     router.close()
 
 
+def test_env_switch_rejects_junk(matrix, monkeypatch):
+    """A mistyped switch fails loudly instead of leaving the pool off."""
+    monkeypatch.setenv("REPRO_SHARD_WORKERS", "yes")
+    with pytest.raises(ReproError, match="REPRO_SHARD_WORKERS"):
+        build_sharded(matrix, shards=2, backend="flat")
+    monkeypatch.setenv("REPRO_SHARD_WORKERS", "-1")
+    router = build_sharded(matrix, shards=2, backend="flat")
+    assert router.worker_pool is None
+    router.close()
+
+
+def test_start_method_rejects_junk(matrix, monkeypatch):
+    """An unknown start method names the variable and the valid methods.
+
+    The pooled build fails before any worker spawns and frees its
+    shared-memory arena (checked by the autouse leak fixture).
+    """
+    import multiprocessing
+
+    monkeypatch.setenv("REPRO_POOL_START_METHOD", "forkserve")
+    with pytest.raises(ReproError, match="REPRO_POOL_START_METHOD") as caught:
+        build_sharded(matrix, shards=2, backend="flat", worker_pool=True)
+    for method in multiprocessing.get_all_start_methods():
+        assert method in str(caught.value)
+
+
 # ----------------------------------------------------------------------
 # Worker-kill drills
 # ----------------------------------------------------------------------

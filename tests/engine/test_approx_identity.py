@@ -156,7 +156,7 @@ def test_worker_pool_modes(matrix, queries, pooled):
     """
     reference = build_sharded(matrix, shards=3, backend="vptree")
     router = build_sharded(
-        matrix, shards=3, backend="vptree", workers=2 if pooled else None
+        matrix, shards=3, backend="vptree", worker_pool=pooled
     )
     try:
         for query in queries:
@@ -164,9 +164,7 @@ def test_worker_pool_modes(matrix, queries, pooled):
             plain = snap(*reference.search(query, k=5))
             assert explicit == plain, pooled
     finally:
-        close = getattr(router, "close", None)
-        if close is not None:
-            close()
+        router.close()
 
 
 def test_batched_search_exact_policy_identical(matrix, queries):

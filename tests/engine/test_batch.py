@@ -1,9 +1,10 @@
-"""``search_many``: blocked verification, pool fan-out, miner batching."""
+"""``search_many``: blocked verification, pooled shard fan-out, miner batching."""
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.cluster import build_sharded
 from repro.engine import get_index, search_many
 from repro.exceptions import SeriesMismatchError
 
@@ -43,20 +44,23 @@ class TestSerialBatch:
 class TestPooledBatch:
     @pytest.mark.parametrize("name", ("flat", "mtree", "sharded"))
     def test_pool_matches_serial(self, matrix, queries, name):
+        """A batch on a pooled router equals the in-process batch."""
         index = get_index(name, matrix)
         batch = np.stack(queries)
         serial = search_many(index, batch, k=3)
-        pooled = search_many(index, batch, k=3, workers=2)
+        backend = "flat" if name == "sharded" else name
+        with build_sharded(
+            matrix, shards=3, backend=backend, worker_pool=True
+        ) as router:
+            pooled = search_many(router, batch, k=3)
         assert as_pairs(pooled) == as_pairs(serial), name
 
-    def test_single_query_batch_stays_in_process(self, matrix):
-        index = get_index("flat", matrix)
-        results = search_many(index, matrix[:1], k=2, workers=4)
-        assert len(results) == 1
-
     def test_more_workers_than_queries(self, matrix):
-        index = get_index("scan", matrix)
-        results = search_many(index, matrix[:3], k=1, workers=8)
+        """Eight pool workers (one per shard) serve a three-query batch."""
+        with build_sharded(
+            matrix, shards=8, backend="scan", worker_pool=True
+        ) as router:
+            results = search_many(router, matrix[:3], k=1)
         assert [hits[0].seq_id for hits, _ in results] == [0, 1, 2]
 
 

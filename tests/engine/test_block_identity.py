@@ -177,7 +177,7 @@ def test_worker_pool_modes(matrix, queries, pooled, monkeypatch):
     monkeypatch.delenv("REPRO_VERIFY_BLOCK", raising=False)
     reference = build_sharded(matrix, shards=3, backend="vptree")
     router = build_sharded(
-        matrix, shards=3, backend="vptree", workers=2 if pooled else None
+        matrix, shards=3, backend="vptree", worker_pool=pooled
     )
     try:
         for query in queries:
@@ -187,9 +187,7 @@ def test_worker_pool_modes(matrix, queries, pooled, monkeypatch):
             monkeypatch.delenv("REPRO_VERIFY_BLOCK", raising=False)
             assert blocked_pool == scalar, pooled
     finally:
-        close = getattr(router, "close", None)
-        if close is not None:
-            close()
+        router.close()
 
 
 def test_stream_backend_stays_scalar(matrix, monkeypatch):

@@ -196,12 +196,10 @@ class TestIngestExperiment:
         from repro.evaluation import ingest_experiment
 
         matrix = np.random.default_rng(8).normal(size=(64, 128))
-        result = ingest_experiment(
-            matrix, tmp_path, shards=3, build_workers=2
-        )
+        result = ingest_experiment(matrix, tmp_path, shards=3)
         assert result.equivalent
         assert result.database_size == 64
-        assert result.shard_count == 3 and result.build_workers == 2
+        assert result.shard_count == 3
         assert result.shard_build_speedup is not None
         table = result.as_table()
         for marker in (
@@ -209,6 +207,7 @@ class TestIngestExperiment:
             "compress batch",
             "store bulk append_matrix",
             "shard build (3 shards)",
+            "worker pool",
             "bit-identical",
         ):
             assert marker in table, marker

@@ -26,9 +26,10 @@ class TestShardScalingExperiment:
     def test_measures_each_count_and_agrees(self):
         matrix, probes = make_workload()
         result = shard_scaling_experiment(
-            matrix, probes, shard_counts=(1, 3), k=4, workers=2
+            matrix, probes, shard_counts=(1, 3), k=4
         )
         assert result.agreement
+        assert result.mode == "serial"
         assert [row.shards for row in result.rows] == [1, 3]
         assert result.database_size == len(matrix)
         assert result.queries == len(probes)
@@ -40,7 +41,7 @@ class TestShardScalingExperiment:
     def test_row_for_missing_count_raises(self):
         matrix, probes = make_workload()
         result = shard_scaling_experiment(
-            matrix, probes, shard_counts=(2,), k=2, workers=1
+            matrix, probes, shard_counts=(2,), k=2
         )
         with pytest.raises(ReproError, match="no row measured"):
             result.row_for(8)
@@ -53,12 +54,14 @@ class TestShardScalingExperiment:
     def test_table_renders(self):
         matrix, probes = make_workload()
         result = shard_scaling_experiment(
-            matrix, probes, shard_counts=(1, 2), k=3, workers=1,
-            backend="scan",
+            matrix, probes, shard_counts=(1, 2), k=3, backend="scan",
+            worker_pool=True,
         )
+        assert result.agreement and result.mode == "pool"
         table = result.as_table()
         assert "shard scaling" in table
         assert "1 shard" in table and "2 shards" in table
+        assert "pool transport" in table
 
 
 class TestRunnerSection:
@@ -76,7 +79,9 @@ class TestRunnerSection:
         )
         text = out.getvalue()
         assert "cluster - scatter-gather scaling" in text
-        assert "bit-identical" in text
+        assert "serial transport" in text and "pool transport" in text
+        assert "serial agreement with the unsharded index: bit-identical" in text
+        assert "pool agreement with the unsharded index: bit-identical" in text
         assert "MISMATCH" not in text
 
     def test_report_omits_section_by_default(self):

@@ -9,7 +9,12 @@ value, never a silent fall-through to the default.
 import pytest
 
 from repro.exceptions import ReproError, StorageError
-from repro.tools import parse_env_float, parse_env_int, parse_env_optional_int
+from repro.tools import (
+    parse_env_choice,
+    parse_env_float,
+    parse_env_int,
+    parse_env_optional_int,
+)
 
 VAR = "REPRO_TEST_KNOB"
 
@@ -104,6 +109,29 @@ class TestParseEnvFloat:
             parse_env_float(VAR, 0.0, minimum=0.0)
 
 
+class TestParseEnvChoice:
+    CHOICES = ("fork", "spawn")
+
+    def test_unset_returns_default(self, monkeypatch):
+        monkeypatch.delenv(VAR, raising=False)
+        assert parse_env_choice(VAR, "fork", self.CHOICES) == "fork"
+
+    def test_blank_counts_as_unset(self, monkeypatch):
+        monkeypatch.setenv(VAR, "  ")
+        assert parse_env_choice(VAR, "fork", self.CHOICES) == "fork"
+
+    def test_set_value_parses(self, monkeypatch):
+        monkeypatch.setenv(VAR, " spawn ")
+        assert parse_env_choice(VAR, "fork", self.CHOICES) == "spawn"
+
+    def test_junk_raises_listing_the_choices(self, monkeypatch):
+        monkeypatch.setenv(VAR, "forkserve")
+        with pytest.raises(ReproError, match=VAR) as caught:
+            parse_env_choice(VAR, "fork", self.CHOICES)
+        assert "'forkserve'" in str(caught.value)
+        assert "fork, spawn" in str(caught.value)
+
+
 class TestKnobsAreWired:
     """The real knobs route through the shared parser (loud on junk)."""
 
@@ -123,6 +151,20 @@ class TestKnobsAreWired:
         monkeypatch.setenv("REPRO_SHARDS", "0")
         with pytest.raises(ReproError, match="REPRO_SHARDS"):
             default_shard_count()
+
+    def test_shard_workers(self, monkeypatch):
+        from repro.cluster.build import default_worker_pool
+
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "yes")
+        with pytest.raises(ReproError, match="REPRO_SHARD_WORKERS"):
+            default_worker_pool()
+
+    def test_pool_start_method(self, monkeypatch):
+        from repro.cluster.pool import default_start_method
+
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", "forkserve")
+        with pytest.raises(ReproError, match="REPRO_POOL_START_METHOD"):
+            default_start_method()
 
     def test_cache_bytes_keeps_storage_error(self, monkeypatch):
         from repro.storage.cache import cache_budget_from_env
